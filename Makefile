@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race ci bench
+.PHONY: all build test lint race perfbench ci bench
 
 all: build
 
@@ -33,7 +33,14 @@ race:
 		./internal/kvstore/...
 	$(GO) test -race ./internal/algorithms
 
-ci: build test lint race
+# perfbench is a separate module (`replace kimbap => ../`) that the root
+# ./... never compiles; vet and test it explicitly so an API change in the
+# main module cannot break the benchmark unnoticed.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
+ci: build test lint race perfbench
 
 # bench regenerates BENCH_kimbap.json, the repo's perf-trajectory record.
 # The previous file's wall times are carried into prev_ns_per_op, so the

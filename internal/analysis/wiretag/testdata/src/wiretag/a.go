@@ -6,22 +6,22 @@ package wiretag
 
 import "kimbap/internal/comm"
 
-// The npm section-tag shape: three formats, one forgotten decoder arm.
+// A payload-format tag shape: three formats, one forgotten decoder arm.
 //
-//kimbap:wiregroup wire
+//kimbap:wiregroup format
 const (
-	wireV1  byte = 1
-	wireV2  byte = 2
-	wireV2S byte = 3
+	formatRaw    byte = 1
+	formatVarint byte = 2
+	formatBitmap byte = 3
 )
 
-// decodeSection reproduces the near-miss: the v2s arm is missing and the
-// default hides it behind a panic.
+// decodeSection reproduces the near-miss: the bitmap arm is missing and
+// the default hides it behind a panic.
 func decodeSection(tag byte) int {
-	switch tag { // want `switch over wire group wire does not handle wireV2S`
-	case wireV1:
+	switch tag { // want `switch over wire group format does not handle formatBitmap`
+	case formatRaw:
 		return 1
-	case wireV2:
+	case formatVarint:
 		return 2
 	default:
 		panic("bad tag")
@@ -31,11 +31,11 @@ func decodeSection(tag byte) int {
 // decodeAll handles the whole group.
 func decodeAll(tag byte) int {
 	switch tag {
-	case wireV1:
+	case formatRaw:
 		return 1
-	case wireV2:
+	case formatVarint:
 		return 2
-	case wireV2S:
+	case formatBitmap:
 		return 3
 	}
 	return 0
@@ -45,9 +45,9 @@ func decodeAll(tag byte) int {
 // Finish check stays quiet.
 func encodeSection(buf []byte, sparse bool) []byte {
 	if sparse {
-		return append(buf, wireV2S)
+		return append(buf, formatBitmap)
 	}
-	return append(buf, wireV2)
+	return append(buf, formatVarint)
 }
 
 // A sentinel named num* is a count, not a tag.
@@ -103,12 +103,14 @@ func isPut(b byte) bool { return b == opPut }
 
 // pickFormat switches over an upstream group: membership travels as
 // facts from the comm package.
-func pickFormat(f comm.WireFormat) int {
-	switch f { // want `switch over wire group WireFormat does not handle WireAuto`
-	case comm.WireV1:
+func pickFormat(tag comm.Tag) int {
+	switch tag { // want `switch over wire group Tag does not handle TagApp`
+	case comm.TagBarrier:
 		return 1
-	case comm.WireV2:
+	case comm.TagRequest, comm.TagResponse:
 		return 2
+	case comm.TagReduce, comm.TagBroadcast:
+		return 3
 	}
 	return 0
 }

@@ -240,30 +240,24 @@ func (c Config) perfGraph() (*graph.Graph, int) {
 	return gen.RMAT(9, 8, false, 3), 5
 }
 
+// syncPerfWarmup is the number of untimed rounds syncPerf runs before its
+// measured windows.
+const syncPerfWarmup = 3
+
 // syncPerf measures a reduce (optionally + broadcast) round: warm the
 // cluster, then time iters rounds while sampling comm stats, process
 // mallocs, and the conflict counter around the measured window. Reps
 // windows are run and the fastest kept.
 func (c Config) syncPerf(name string, variant npm.Variant, hosts int, pin bool) PerfRecord {
-	return c.syncPerfWire(name, variant, hosts, pin, comm.WireAuto)
-}
-
-// syncPerfWire is syncPerf with an explicit wire format, letting the
-// regression gate measure the v1 baseline live on the current workload
-// instead of trusting a recorded constant.
-func (c Config) syncPerfWire(name string, variant npm.Variant, hosts int, pin bool,
-	wire comm.WireFormat) PerfRecord {
-
 	g, iters := c.perfGraph()
 	cluster, err := runtime.NewCluster(g, runtime.Config{
-		NumHosts: hosts, ThreadsPerHost: c.Threads, Wire: wire,
+		NumHosts: hosts, ThreadsPerHost: c.Threads,
 	})
 	if err != nil {
 		panic(err)
 	}
 	defer cluster.Close()
 
-	const warmup = 3
 	maps := make([]npm.Map[graph.NodeID], hosts)
 	rounds := func(h *runtime.Host, base, n int) {
 		m := maps[h.Rank]
@@ -291,13 +285,13 @@ func (c Config) syncPerfWire(name string, variant npm.Variant, hosts int, pin bo
 		if pin {
 			m.PinMirrors()
 		}
-		rounds(h, 0, warmup)
+		rounds(h, 0, syncPerfWarmup)
 	})
 
 	rec := PerfRecord{Name: name, Hosts: hosts, Threads: c.Threads}
 	best := time.Duration(-1)
 	for rep := 0; rep < c.Reps; rep++ {
-		base := warmup + rep*iters
+		base := syncPerfWarmup + rep*iters
 		cw := npm.BeginConflictWindow()
 		msgs0, bytes0 := cluster.CommStats()
 		tm0, tb0 := cluster.CommStatsByTag()

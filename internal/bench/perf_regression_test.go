@@ -13,15 +13,16 @@ import (
 	"kimbap/internal/runtime"
 )
 
-// TestReduceSyncCommBytesNoRegression gates the wire codec's win: the v2
-// default must move at most 70% of the bytes a v1-wire cluster sends on the
-// identical workload, measured live in the same process (the perf R-MAT
-// instance changed when the generators moved to counter-based PRNG streams,
-// so a recorded v1 constant would pin a graph that no longer exists). With
-// Reps=1 each measured window covers a fixed iteration range and both
-// encodings are order-independent, so the comparison is deterministic. The
-// committed BENCH_kimbap.json value comes from `make bench` (Reps=3, best
-// wall rep kept, and rep windows cover different iteration ranges), so the
+// TestReduceSyncCommBytesNoRegression gates the wire codec's win: the
+// compact reduce frame must move at most 70% of the bytes the retired
+// fixed-width (v1) encoding would send on the identical workload. The v1
+// figure comes from v1ReduceCommBytes, an exact size model of that encoding
+// over the live partition's ownership, so it tracks the perf R-MAT instance
+// instead of pinning a graph that may no longer exist. With Reps=1 each
+// measured window covers a fixed iteration range and the encoding is
+// order-independent, so the comparison is deterministic. The committed
+// BENCH_kimbap.json value comes from `make bench` (Reps=3, best wall rep
+// kept, and rep windows cover different iteration ranges), so the
 // comparison against it allows 0.5% cross-window drift — far below any
 // real codec regression.
 func TestReduceSyncCommBytesNoRegression(t *testing.T) {
@@ -34,14 +35,15 @@ func TestReduceSyncCommBytesNoRegression(t *testing.T) {
 		}
 	}
 	cfg := Config{Scale: Full, Threads: 4, Reps: 1}
-	v1 := cfg.syncPerfWire("reduce_sync_full", npm.Full, 8, false, comm.WireV1)
+	v1 := cfg.v1ReduceCommBytes(8)
 	rec := cfg.syncPerf("reduce_sync_full", npm.Full, 8, false)
-	if v1.CommBytes == 0 {
-		t.Fatal("v1 wire run sent no bytes; gate workload is broken")
+	if v1 == 0 {
+		t.Fatal("v1 model sends no bytes; gate workload is broken")
 	}
-	if limit := v1.CommBytes * 7 / 10; rec.CommBytes > limit {
+	t.Logf("comm_bytes = %d/op, v1 model = %d/op", rec.CommBytes, v1)
+	if limit := v1 * 7 / 10; rec.CommBytes > limit {
 		t.Errorf("comm_bytes = %d/op, above the 30%%-under-v1 ceiling %d (v1 = %d)",
-			rec.CommBytes, limit, v1.CommBytes)
+			rec.CommBytes, limit, v1)
 	}
 	if committed < 0 {
 		t.Log("no committed BENCH_kimbap.json record; only the v1 ceiling was checked")
@@ -49,6 +51,42 @@ func TestReduceSyncCommBytesNoRegression(t *testing.T) {
 		t.Errorf("comm_bytes = %d/op, regressed past the committed %d (+0.5%% = %d)",
 			rec.CommBytes, committed, slack)
 	}
+}
+
+// v1ReduceCommBytes returns the bytes/op the fixed-width (v1) encoding sends
+// on syncPerf's reduce-only workload over the first measured window. Every
+// host reduces the same distinct keys (j*31+i) mod |V|, j < 1024, in round
+// i, and each non-empty host-to-peer payload is a 1-byte format tag, a
+// uint32 length per receiving gather thread, and a (uint32 key, 4-byte
+// value) pair per entry.
+func (c Config) v1ReduceCommBytes(hosts int) int64 {
+	g, iters := c.perfGraph()
+	cluster, err := runtime.NewCluster(g, runtime.Config{NumHosts: hosts, ThreadsPerHost: c.Threads})
+	if err != nil {
+		panic(err)
+	}
+	defer cluster.Close()
+	total := g.NumNodes()
+	var bytes int64
+	for i := syncPerfWarmup; i < syncPerfWarmup+iters; i++ {
+		seen := make(map[int]bool)
+		perOwner := make([]int64, hosts)
+		for j := 0; j < 1024; j++ {
+			k := (j*31 + i) % total
+			if !seen[k] {
+				seen[k] = true
+				perOwner[cluster.Part.Owner(graph.NodeID(k))]++
+			}
+		}
+		for h := 0; h < hosts; h++ {
+			for o, n := range perOwner {
+				if o != h && n > 0 {
+					bytes += 1 + 4*int64(c.Threads) + n*(4+4)
+				}
+			}
+		}
+	}
+	return bytes / int64(iters)
 }
 
 // TestIngestBuildPartitionGate holds the parallel ingestion pipeline to at
@@ -315,7 +353,7 @@ func TestReorderBuildCostGate(t *testing.T) {
 // reduce-sync bytes. The graph needs enough hook rounds for the dense
 // loop's re-sent ineffective hooks to accumulate — a sparse random graph
 // gives four-plus hook rounds per phase — and both runs are deterministic
-// (fixed seed, hashed partition, order-independent v2s section sizes), so
+// (fixed seed, hashed partition, order-independent section sizes), so
 // the comparison is exact, not statistical.
 func TestFrontierReduceSyncBytesGate(t *testing.T) {
 	g := gen.ErdosRenyi(2048, 6144, false, 3)

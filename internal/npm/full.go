@@ -33,7 +33,6 @@ type fullMap[V comparable] struct {
 	hp    *partition.HostPartition
 	op    ReduceOp[V]
 	codec Codec[V]
-	wire  comm.WireFormat // payload encoding (see wire.go)
 
 	masterLo graph.NodeID
 	masterHi graph.NodeID
@@ -84,14 +83,14 @@ type fullMap[V comparable] struct {
 	// ReduceSync/BroadcastSync rounds allocate nothing (see the comm
 	// package's buffer-ownership contract).
 	cells     [][][][]byte // [tid][dest][receiver gather thread] encoded entries
-	cellN     [][][]int    // [tid][dest][rt] entry counts, for the v2s form choice
+	cellN     [][][]int    // [tid][dest][rt] entry counts, for the sparse/dense form choice
 	sendBufs  [2][][]byte  // per-dest reduce payloads, double-buffered
 	sendGen   int
 	bcastBufs [2][][]byte // per-dest broadcast payloads, double-buffered
 	bcastGen  int
 	recvIn    [][]byte // receive slice for the exchanges (one round at a time)
 
-	// Scratch for assembling one v2s dense-form section at a time
+	// Scratch for assembling one dense-form section at a time
 	// (reducePayload runs destinations sequentially): a bitmap over the
 	// section's key range and value slots indexed by base-relative key.
 	denseMask []byte
@@ -115,7 +114,7 @@ type fullMap[V comparable] struct {
 
 	destLo []graph.NodeID // per-host global master-range start
 	destN  []uint64       // per-host master count
-	// secBase[o][rt] = sectionLo(rt, threads, destN[o]), the v2 key base of
+	// secBase[o][rt] = sectionLo(rt, threads, destN[o]), the wire key base of
 	// host o's gather-thread-rt section. Precomputed because the combine
 	// pass needs it per surviving entry and sectionLo costs a 64-bit
 	// divide.
@@ -145,7 +144,6 @@ func newFullMap[V comparable](opts Options[V]) *fullMap[V] {
 		tl:          make([]*bucketedMap[V], h.Threads),
 		combined:    make([]*localMap[V], h.Threads),
 	}
-	m.wire = resolveWire(opts.Wire, h.Wire)
 	m.encodeReduce = m.reducePayload
 	m.encodeBcast = m.bcastPayload
 	m.trackReads = opts.TrackReads
@@ -286,14 +284,14 @@ func (m *fullMap[V]) RequestSync() {
 		})
 		m.reqBits.Clear()
 
-		// One request message per peer: the ID list, tagged and (under v2)
-		// delta-varint encoded — the lists are sorted, so deltas are small.
+		// One request message per peer: the delta-varint ID list — the lists
+		// are sorted, so deltas are small.
 		out := make([][]byte, numHosts)
 		for o, ids := range reqIDs {
 			if o == self || len(ids) == 0 {
 				continue
 			}
-			out[o] = appendIDList(make([]byte, 0, 1+4*len(ids)), m.wire, ids)
+			out[o] = appendIDList(make([]byte, 0, 4*len(ids)), ids)
 		}
 		in := comm.Exchange(m.h.EP, comm.TagRequest, out)
 
@@ -305,7 +303,7 @@ func (m *fullMap[V]) RequestSync() {
 				continue
 			}
 			buf := make([]byte, 0, len(in[o])/4*m.codec.Size())
-			dec := decodeIDList(in[o])
+			dec := idListDecoder{b: in[o]}
 			for id, ok := dec.next(); ok; id, ok = dec.next() {
 				buf = m.codec.Append(buf, m.masters[id-m.masterLo])
 			}
@@ -452,7 +450,6 @@ func (m *fullMap[V]) ReduceSync() {
 					out.Reduce(k, m.mirrors[slot], m.op.Combine)
 				})
 			}
-			wireV2 := m.wire == comm.WireV2
 			destLo, destN, secBase := m.destLo, m.destN, m.secBase
 			out.ForEach(func(k graph.NodeID, v V) {
 				o := m.hp.Owner(k)
@@ -462,14 +459,9 @@ func (m *fullMap[V]) ReduceSync() {
 				}
 				rel := uint64(k - destLo[o])
 				rt := rangeBucket(graph.NodeID(rel), uint64(threads), destN[o])
-				var buf []byte
-				if wireV2 {
-					// v2: key relative to the section's range base — one
-					// byte for typical per-host master ranges.
-					buf = comm.AppendUvarint(cells[o][rt], rel-secBase[o][rt])
-				} else {
-					buf = comm.AppendUint32(cells[o][rt], uint32(k))
-				}
+				// Key relative to the section's range base — one byte for
+				// typical per-host master ranges.
+				buf := comm.AppendUvarint(cells[o][rt], rel-secBase[o][rt])
 				cells[o][rt] = m.codec.Append(buf, v)
 				counts[o][rt]++
 			})
@@ -485,18 +477,16 @@ func (m *fullMap[V]) ReduceSync() {
 		// ExchangeFunc assembles destination o's payload and hands it to
 		// Send before destination o+1's encode starts, so each frame is in
 		// flight while the next is still being built. The payload framing
-		// (tag, section lengths, sections in the receiver's gather-thread
-		// order) lives in reducePayload; send buffers are double-buffered
-		// per the comm buffer-ownership contract.
+		// (present bitmap, section lengths, sections in the receiver's
+		// gather-thread order) lives in reducePayload; send buffers are
+		// double-buffered per the comm buffer-ownership contract.
 		m.reduceOut = m.sendBufs[m.sendGen]
 		m.sendGen ^= 1
 		in := comm.ExchangeFunc(m.h.EP, comm.TagReduce, m.encodeReduce, m.recvIn)
 
 		// Gather-reduce: gather thread t decodes exactly the sections the
 		// senders addressed to its master range — each received byte is
-		// decoded once, by one thread, with no range filtering. The format
-		// tag on each payload says how its keys decode, so v1 and v2
-		// senders can coexist in one cluster.
+		// decoded once, by one thread, with no range filtering.
 		m.h.ParFor(threads, func(_, t int) {
 			base := m.masterLo + graph.NodeID(
 				sectionLo(t, uint64(threads), uint64(m.masterHi-m.masterLo)))
@@ -504,27 +494,7 @@ func (m *fullMap[V]) ReduceSync() {
 				if o == self || len(in[o]) == 0 {
 					continue
 				}
-				sec, kind := reduceSection(in[o], t, threads)
-				switch kind {
-				case secV2S:
-					m.decodeSectionV2S(sec, base)
-				case secV2:
-					for len(sec) > 0 {
-						var d uint64
-						d, sec = comm.ReadUvarint(sec)
-						var v V
-						v, sec = m.codec.Read(sec)
-						m.applyToMaster(base+graph.NodeID(d), v)
-					}
-				case secV1:
-					for len(sec) > 0 {
-						var id uint32
-						id, sec = comm.ReadUint32(sec)
-						var v V
-						v, sec = m.codec.Read(sec)
-						m.applyToMaster(graph.NodeID(id), v)
-					}
-				}
+				decodeSection(reduceSection(in[o], t, threads), m.codec, base, m.applyToMaster)
 			}
 		})
 
@@ -546,14 +516,12 @@ func (m *fullMap[V]) ReduceSync() {
 }
 
 // reducePayload assembles the reduce payload for destination o from the
-// combine threads' cells. v1 frames a 1-byte tag, `threads` uint32 section
-// lengths, then the sections in the receiver's gather-thread order (each
-// section concatenates the combine threads' cells for that gather thread).
-// v2-configured maps emit the v2s frame instead (see wire.go): a present
-// bitmap skips empty sections, and each present section picks the smaller
-// of the sparse and dense body forms. A round with nothing for o returns an
-// empty payload, eliding tag and header. Called by ExchangeFunc once per
-// destination, immediately before that destination's Send.
+// combine threads' cells, in the frame wire.go describes: a present bitmap
+// skips empty sections, and each present section — the concatenation of
+// the combine threads' cells for that receiving gather thread — picks the
+// smaller of the sparse and dense body forms. A round with nothing for o
+// returns an empty payload. Called by ExchangeFunc once per destination,
+// immediately before that destination's Send.
 func (m *fullMap[V]) reducePayload(o int) []byte {
 	threads := m.h.Threads
 	out := m.reduceOut
@@ -568,58 +536,22 @@ func (m *fullMap[V]) reducePayload(o int) []byte {
 		out[o] = buf
 		return buf
 	}
-	if m.wire != comm.WireV2 {
-		buf = append(buf, wireV1)
-		for rt := 0; rt < threads; rt++ {
-			sec := 0
-			for t := 0; t < threads; t++ {
-				sec += len(m.cells[t][o][rt])
-			}
-			buf = comm.AppendUint32(buf, uint32(sec))
-		}
-		for rt := 0; rt < threads; rt++ {
-			for t := 0; t < threads; t++ {
-				buf = append(buf, m.cells[t][o][rt]...)
-			}
-		}
-		out[o] = buf
-		return buf
-	}
 
-	// v2s. Header first: the present bitmap, then one uvarint body length
-	// per present section in ascending rt order. Both the length and the
-	// sparse/dense choice are recomputed identically in the body loop; both
-	// are deterministic functions of the (order-independent) per-section
-	// entry count and byte size, so payload sizes are stable across runs.
+	// Header first. Both the body length and the sparse/dense choice are
+	// recomputed identically in the body loop; both are deterministic
+	// functions of the (order-independent) per-section entry count and
+	// byte size, so payload sizes are stable across runs.
 	vs := m.codec.Size()
-	buf = append(buf, wireV2S)
-	pm := len(buf)
-	for i := 0; i < (threads+7)/8; i++ {
-		buf = append(buf, 0)
-	}
-	for rt := 0; rt < threads; rt++ {
-		n, secBytes := 0, 0
-		for t := 0; t < threads; t++ {
-			n += m.cellN[t][o][rt]
-			secBytes += len(m.cells[t][o][rt])
-		}
+	buf = appendReduceHeader(buf, threads, func(rt int) int {
+		n, secBytes := m.sectionSize(o, rt)
 		if n == 0 {
-			continue
+			return 0
 		}
-		buf[pm+rt/8] |= 1 << (uint(rt) % 8)
 		sparseLen, denseLen, _ := m.sectionForms(o, rt, n, secBytes, vs)
-		body := sparseLen
-		if denseLen < sparseLen {
-			body = denseLen
-		}
-		buf = comm.AppendUvarint(buf, uint64(1+body))
-	}
+		return 1 + min(sparseLen, denseLen)
+	})
 	for rt := 0; rt < threads; rt++ {
-		n, secBytes := 0, 0
-		for t := 0; t < threads; t++ {
-			n += m.cellN[t][o][rt]
-			secBytes += len(m.cells[t][o][rt])
-		}
+		n, secBytes := m.sectionSize(o, rt)
 		if n == 0 {
 			continue
 		}
@@ -664,6 +596,16 @@ func (m *fullMap[V]) reducePayload(o int) []byte {
 	return buf
 }
 
+// sectionSize returns the entry count and total cell bytes the combine
+// threads produced for section (o, rt).
+func (m *fullMap[V]) sectionSize(o, rt int) (n, secBytes int) {
+	for t := 0; t < m.h.Threads; t++ {
+		n += m.cellN[t][o][rt]
+		secBytes += len(m.cells[t][o][rt])
+	}
+	return n, secBytes
+}
+
 // sectionForms returns the encoded body sizes (excluding the form byte) of
 // the sparse and dense forms for section (o, rt), plus the dense bitmap
 // length. n is the entry count, secBytes the total cell bytes (uvarint keys
@@ -674,44 +616,9 @@ func (m *fullMap[V]) sectionForms(o, rt, n, secBytes, vs int) (sparseLen, denseL
 		end = m.secBase[o][rt+1]
 	}
 	mb = int(end-m.secBase[o][rt]+7) / 8
-	sparseLen = uvLen(uint64(n)) + secBytes
-	denseLen = uvLen(uint64(mb)) + mb + n*vs
+	sparseLen = comm.UvarintLen(uint64(n)) + secBytes
+	denseLen = comm.UvarintLen(uint64(mb)) + mb + n*vs
 	return sparseLen, denseLen, mb
-}
-
-// decodeSectionV2S decodes one v2s section addressed to this gather thread
-// and applies its entries to the master range starting at base.
-func (m *fullMap[V]) decodeSectionV2S(sec []byte, base graph.NodeID) {
-	if len(sec) == 0 {
-		return
-	}
-	form := sec[0]
-	sec = sec[1:]
-	if form == sectionSparse {
-		var n uint64
-		n, sec = comm.ReadUvarint(sec)
-		for i := uint64(0); i < n; i++ {
-			var d uint64
-			d, sec = comm.ReadUvarint(sec)
-			var v V
-			v, sec = m.codec.Read(sec)
-			m.applyToMaster(base+graph.NodeID(d), v)
-		}
-		return
-	}
-	var mb uint64
-	mb, sec = comm.ReadUvarint(sec)
-	mask := sec[:mb]
-	sec = sec[mb:]
-	for bi, mbyte := range mask {
-		for mbyte != 0 {
-			d := bi*8 + bits.TrailingZeros8(mbyte)
-			mbyte &= mbyte - 1
-			var v V
-			v, sec = m.codec.Read(sec)
-			m.applyToMaster(base+graph.NodeID(d), v)
-		}
-	}
 }
 
 // applyToMaster merges v into the canonical master value, tracking change
@@ -819,9 +726,7 @@ func (m *fullMap[V]) setMirror(local graph.NodeID, v V) {
 // MasterSendTo[o] followed by the changed values in list order) or, when it
 // encodes smaller, the sparse form (uvarint count, then delta-varint list
 // indices each followed by its value). A round with nothing dirty for o
-// returns an empty payload. The form choice is positional metadata only —
-// the same in v1 and v2 — and each payload is self-describing, so mixed
-// rounds interoperate. Called by ExchangeFunc once per destination.
+// returns an empty payload. Called by ExchangeFunc once per destination.
 func (m *fullMap[V]) bcastPayload(o int) []byte {
 	list := m.hp.MasterSendTo[o]
 	maskLen := (len(list) + 7) / 8
@@ -834,7 +739,7 @@ func (m *fullMap[V]) bcastPayload(o int) []byte {
 	} else {
 		for i, local := range list {
 			if m.masterDirty.Test(int(local)) {
-				idxBytes += uvLen(uint64(i - prev))
+				idxBytes += comm.UvarintLen(uint64(i - prev))
 				prev = i
 				n++
 			}
@@ -844,7 +749,7 @@ func (m *fullMap[V]) bcastPayload(o int) []byte {
 		out[o] = buf
 		return buf
 	}
-	if !m.bcastFull && uvLen(uint64(n))+idxBytes < maskLen {
+	if !m.bcastFull && comm.UvarintLen(uint64(n))+idxBytes < maskLen {
 		buf = append(buf, sectionSparse)
 		buf = comm.AppendUvarint(buf, uint64(n))
 		prev = 0

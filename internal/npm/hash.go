@@ -26,7 +26,6 @@ type hashMap[V comparable] struct {
 	hp     *partition.HostPartition
 	op     ReduceOp[V]
 	codec  Codec[V]
-	wire   comm.WireFormat // payload encoding (see wire.go)
 	shared bool
 
 	owned *shardedMap[V] // canonical values for hash-owned nodes
@@ -42,12 +41,14 @@ type hashMap[V comparable] struct {
 	sharedPartial *shardedMap[V] // SGR-only reduce map
 
 	// Persistent sync-phase buffers, reused across BSP rounds (see the
-	// comm package's buffer-ownership contract). Reduce payloads are
-	// framed as `threads` uint32 section byte-lengths followed by the
-	// sections in global key-range order, so each receiving gather thread
-	// decodes exactly one section per payload.
+	// comm package's buffer-ownership contract). Reduce payloads use the
+	// Full map's frame (wire.go) with sections in global key-range order,
+	// so each receiving gather thread decodes exactly one section per
+	// payload.
 	cells       [][][]byte // CF: [tid][dest] section bytes (section = tid's range)
+	cellN       [][]int    // CF: [tid][dest] section entry counts
 	sharedCells [][][]byte // SGR-only: [dest][range] section bytes
+	sharedCellN [][]int    // SGR-only: [dest][range] section entry counts
 	sendBufs    [2][][]byte
 	sendGen     int
 	reqBufs     [2][][]byte // fetch request payloads
@@ -55,7 +56,7 @@ type hashMap[V comparable] struct {
 	fetchGen    int
 	recvIn      [][]byte         // receive slice for the exchanges
 	byOwner     [][]graph.NodeID // fetch scratch: requested IDs per owner
-	// secBase[rt] = sectionLo(rt, threads, numGlobal), the v2 key base of
+	// secBase[rt] = sectionLo(rt, threads, numGlobal), the wire key base of
 	// global range bucket rt. Precomputed because the encode passes need it
 	// per surviving entry and sectionLo costs a 64-bit divide.
 	secBase []uint64
@@ -96,7 +97,6 @@ func newHashMapVariant[V comparable](opts Options[V], shared bool, partialShards
 		reqBits: runtime.NewBitset(h.HP.NumGlobalNodes()),
 		cache:   newLocalMap[V](),
 	}
-	m.wire = resolveWire(opts.Wire, h.Wire)
 	m.encodeReduce = m.reducePayload
 	m.encodeFetchReq = m.fetchReqPayload
 	m.trackReads = opts.TrackReads
@@ -109,8 +109,10 @@ func newHashMapVariant[V comparable](opts Options[V], shared bool, partialShards
 	if shared {
 		m.sharedPartial = newShardedMapN[V](partialShards)
 		m.sharedCells = make([][][]byte, numHosts)
+		m.sharedCellN = make([][]int, numHosts)
 		for o := range m.sharedCells {
 			m.sharedCells[o] = make([][]byte, h.Threads)
+			m.sharedCellN[o] = make([]int, h.Threads)
 		}
 	} else {
 		m.tl = make([]*bucketedMap[V], h.Threads)
@@ -120,8 +122,10 @@ func newHashMapVariant[V comparable](opts Options[V], shared bool, partialShards
 			m.combined[t] = newLocalMap[V]()
 		}
 		m.cells = make([][][]byte, h.Threads)
+		m.cellN = make([][]int, h.Threads)
 		for t := range m.cells {
 			m.cells[t] = make([][]byte, numHosts)
+			m.cellN[t] = make([]int, numHosts)
 		}
 	}
 	for g := range m.sendBufs {
@@ -269,8 +273,8 @@ func (m *hashMap[V]) fetch(ids []graph.NodeID) {
 	}
 	gen := m.fetchGen
 	m.fetchGen ^= 1
-	// Overlapped request scatter: destination o's (delta-varint under v2)
-	// ID list goes on the wire while o+1's is still being encoded.
+	// Overlapped request scatter: destination o's delta-varint ID list goes
+	// on the wire while o+1's is still being encoded.
 	m.fetchReqOut = m.reqBufs[gen]
 	in := comm.ExchangeFunc(m.h.EP, comm.TagRequest, m.encodeFetchReq, m.recvIn)
 
@@ -280,7 +284,7 @@ func (m *hashMap[V]) fetch(ids []graph.NodeID) {
 			continue
 		}
 		buf := resp[o][:0]
-		dec := decodeIDList(in[o])
+		dec := idListDecoder{b: in[o]}
 		for id, ok := dec.next(); ok; id, ok = dec.next() {
 			v, ok := m.owned.Get(id)
 			if !ok {
@@ -327,9 +331,9 @@ func (m *hashMap[V]) ReduceSync() {
 			for o := range m.sharedCells {
 				for rt := range m.sharedCells[o] {
 					m.sharedCells[o][rt] = m.sharedCells[o][rt][:0]
+					m.sharedCellN[o][rt] = 0
 				}
 			}
-			wireV2 := m.wire == comm.WireV2
 			secBase := m.secBase
 			m.sharedPartial.ForEach(func(k graph.NodeID, v V) {
 				o := m.hashOwner(k)
@@ -338,14 +342,9 @@ func (m *hashMap[V]) ReduceSync() {
 					return
 				}
 				rt := rangeBucket(k, uint64(threads), numGlobal)
-				var buf []byte
-				if wireV2 {
-					buf = comm.AppendUvarint(m.sharedCells[o][rt],
-						uint64(k)-secBase[rt])
-				} else {
-					buf = comm.AppendUint32(m.sharedCells[o][rt], uint32(k))
-				}
+				buf := comm.AppendUvarint(m.sharedCells[o][rt], uint64(k)-secBase[rt])
 				m.sharedCells[o][rt] = m.codec.Append(buf, v)
+				m.sharedCellN[o][rt]++
 			})
 			m.sharedPartial.Reset()
 		} else {
@@ -361,11 +360,11 @@ func (m *hashMap[V]) ReduceSync() {
 						cm.Reduce(k, v, m.op.Combine)
 					})
 				}
-				cells := m.cells[t]
+				cells, counts := m.cells[t], m.cellN[t]
 				for o := range cells {
 					cells[o] = cells[o][:0]
+					counts[o] = 0
 				}
-				wireV2 := m.wire == comm.WireV2
 				base := m.secBase[t]
 				cm.ForEach(func(k graph.NodeID, v V) {
 					o := m.hashOwner(k)
@@ -373,15 +372,11 @@ func (m *hashMap[V]) ReduceSync() {
 						m.applyToOwned(k, v)
 						return
 					}
-					var buf []byte
-					if wireV2 {
-						// Thread t's surviving entries are exactly global
-						// range bucket t: section t of every payload.
-						buf = comm.AppendUvarint(cells[o], uint64(k)-base)
-					} else {
-						buf = comm.AppendUint32(cells[o], uint32(k))
-					}
+					// Thread t's surviving entries are exactly global range
+					// bucket t: section t of every payload.
+					buf := comm.AppendUvarint(cells[o], uint64(k)-base)
 					cells[o] = m.codec.Append(buf, v)
+					counts[o]++
 				})
 			})
 			for _, t := range m.tl {
@@ -390,41 +385,23 @@ func (m *hashMap[V]) ReduceSync() {
 		}
 
 		// Scatter with compute/comm overlap: ExchangeFunc assembles and
-		// sends each destination's payload (tag, section lengths, sections
-		// in key-range order — see reducePayload) before the next
+		// sends each destination's payload (present bitmap, section
+		// lengths, sections in key-range order — see reducePayload) before the next
 		// destination's encode starts. Double-buffered.
 		m.reduceOut = m.sendBufs[m.sendGen]
 		m.sendGen ^= 1
 		in := comm.ExchangeFunc(m.h.EP, comm.TagReduce, m.encodeReduce, m.recvIn)
 
 		// Gather: thread t decodes section t of every payload — disjoint
-		// key ranges, each byte decoded once; the payload's format tag says
-		// how its keys decode. The owned map's shard locks make the
-		// concurrent applies safe.
+		// key ranges, each byte decoded once. The owned map's shard locks
+		// make the concurrent applies safe.
 		m.h.ParFor(threads, func(_, t int) {
 			base := graph.NodeID(sectionLo(t, uint64(threads), numGlobal))
 			for o := 0; o < numHosts; o++ {
 				if o == self || len(in[o]) == 0 {
 					continue
 				}
-				sec, kind := reduceSection(in[o], t, threads)
-				if kind == secV2 {
-					for len(sec) > 0 {
-						var d uint64
-						d, sec = comm.ReadUvarint(sec)
-						var v V
-						v, sec = m.codec.Read(sec)
-						m.applyToOwned(base+graph.NodeID(d), v)
-					}
-				} else {
-					for len(sec) > 0 {
-						var id uint32
-						id, sec = comm.ReadUint32(sec)
-						var v V
-						v, sec = m.codec.Read(sec)
-						m.applyToOwned(graph.NodeID(id), v)
-					}
-				}
+				decodeSection(reduceSection(in[o], t, threads), m.codec, base, m.applyToOwned)
 			}
 		})
 
@@ -435,55 +412,62 @@ func (m *hashMap[V]) ReduceSync() {
 	})
 }
 
-// section returns the encoded bytes destined for host o's range bucket rt.
-func (m *hashMap[V]) section(o, rt int) []byte {
+// section returns the encoded entries destined for host o's range bucket
+// rt and their count.
+func (m *hashMap[V]) section(o, rt int) ([]byte, int) {
 	if m.shared {
-		return m.sharedCells[o][rt]
+		return m.sharedCells[o][rt], m.sharedCellN[o][rt]
 	}
-	return m.cells[rt][o]
+	return m.cells[rt][o], m.cellN[rt][o]
 }
 
-// reducePayload assembles the reduce payload for destination o: a 1-byte
-// wire tag, `threads` section byte-lengths (uint32 in v1, uvarint in v2),
-// then the sections in global key-range order. Empty rounds return an
-// empty payload with tag and header elided. Called by ExchangeFunc once
-// per destination, immediately before that destination's Send.
+// reducePayload assembles the reduce payload for destination o in the Full
+// map's frame (wire.go), sections in global key-range order. Every section
+// uses the sparse body form: a dense body needs a scratch buffer the size
+// of the section's key range, and a hash map's sections are slices of the
+// whole global key space — hash ownership does not narrow them to a host's
+// range the way Full's partition ownership does. Empty rounds return an
+// empty payload. Called by ExchangeFunc once per destination, immediately
+// before that destination's Send.
 func (m *hashMap[V]) reducePayload(o int) []byte {
 	threads := m.h.Threads
 	out := m.reduceOut
 	buf := out[o][:0]
 	total := 0
 	for rt := 0; rt < threads; rt++ {
-		total += len(m.section(o, rt))
+		_, n := m.section(o, rt)
+		total += n
 	}
 	if total == 0 {
 		out[o] = buf
 		return buf
 	}
-	if m.wire == comm.WireV2 {
-		buf = append(buf, wireV2)
-		for rt := 0; rt < threads; rt++ {
-			buf = comm.AppendUvarint(buf, uint64(len(m.section(o, rt))))
+	buf = appendReduceHeader(buf, threads, func(rt int) int {
+		sec, n := m.section(o, rt)
+		if n == 0 {
+			return 0
 		}
-	} else {
-		buf = append(buf, wireV1)
-		for rt := 0; rt < threads; rt++ {
-			buf = comm.AppendUint32(buf, uint32(len(m.section(o, rt))))
-		}
-	}
+		return 1 + comm.UvarintLen(uint64(n)) + len(sec)
+	})
 	for rt := 0; rt < threads; rt++ {
-		buf = append(buf, m.section(o, rt)...)
+		sec, n := m.section(o, rt)
+		if n == 0 {
+			continue
+		}
+		buf = append(buf, sectionSparse)
+		buf = comm.AppendUvarint(buf, uint64(n))
+		buf = append(buf, sec...)
 	}
 	out[o] = buf
 	return buf
 }
 
 // fetchReqPayload encodes the fetch request for host o: its byOwner ID
-// list behind a format tag (delta-varint under v2; the lists are sorted).
-// Called by ExchangeFunc once per destination.
+// list, delta-varint encoded (the lists are sorted). Called by
+// ExchangeFunc once per destination.
 func (m *hashMap[V]) fetchReqPayload(o int) []byte {
 	out := m.fetchReqOut
-	out[o] = appendIDList(out[o][:0], m.wire, m.byOwner[o])
+	out[o] = appendIDList(out[o][:0], m.byOwner[o])
 	return out[o]
 }
 

@@ -79,7 +79,7 @@ func (m *fullMap[V]) MemoryFootprint() int64 {
 			total += int64(cap(b))
 		}
 	}
-	// Frontier bitsets and the v2s sparse/dense section scratch.
+	// Frontier bitsets and the sparse/dense section scratch.
 	if m.frontier != nil {
 		total += m.frontier.MemoryFootprint()
 	}
@@ -118,6 +118,12 @@ func (m *hashMap[V]) MemoryFootprint() int64 {
 		for _, b := range perDest {
 			total += int64(cap(b))
 		}
+	}
+	for _, counts := range m.cellN {
+		total += int64(len(counts)) * 8
+	}
+	for _, counts := range m.sharedCellN {
+		total += int64(len(counts)) * 8
 	}
 	for g := range m.sendBufs {
 		for _, b := range m.sendBufs[g] {

@@ -1,48 +1,34 @@
 package npm
 
 import (
-	"fmt"
 	"math/bits"
 
 	"kimbap/internal/comm"
 	"kimbap/internal/graph"
 )
 
-// Wire formats for the sync-phase payloads. Every non-empty reduce payload
-// and request-ID list starts with a one-byte format tag, so the two sides
-// negotiate per payload: a receiver decodes whatever format the sender
-// chose, and mixed-format clusters interoperate. Empty payloads stay
-// zero-length (no tag) — "nothing to send" is format independent.
+// Wire encoding of the sync-phase payloads. Each payload kind has exactly
+// one encoding, and an empty payload means "nothing to send".
 //
-// v1 is the original raw encoding: fixed uint32 keys and section lengths.
-// v2 exploits what the sectioned framing already guarantees: every key in
-// a section falls in one gather thread's key range, so keys are encoded as
-// uvarint deltas from the section's range base. Keys are *not*
-// delta-chained against the previous key — sections concatenate the
-// combine threads' cells in insertion order, so consecutive keys are
-// unsorted and a chain would need per-cell restart markers. Base-relative
-// deltas are order independent, which also keeps the encoded size (and
-// hence the comm_bytes the bench gate pins) deterministic across runs.
-// Values stay fixed width in both formats.
-// v2s is the frontier-era extension of v2 for reduce payloads: empty
-// sections are skipped entirely (a present-bitmap replaces the fixed
-// lengths header) and every section carries a 1-byte form marker choosing,
-// by encoded size, between a sparse body (uvarint entry count, then
-// base-relative uvarint keys with values, order independent like v2) and a
+// Reduce payloads are sectioned by the receiver's gather threads: section
+// t holds only keys in gather thread t's key range, so each receiving
+// thread decodes exactly its own section. The frame is
+//
+//	payload := present lens sections
+//	present := ceil(T/8) bytes; bit t set iff section t is non-empty
+//	lens    := one uvarint body length per present section, ascending t
+//	section := form body
+//
+// where the form byte picks, by encoded size, between a sparse body
+// (uvarint entry count, then base-relative uvarint keys with values) and a
 // dense body (a bitmap over the section's key range with values in
-// ascending key order). Late sparse rounds send a few sparse sections and
-// nothing else; early dense rounds collapse per-key varints into one bit
-// each. Negotiation stays per payload: receivers switch on the tag, so
-// v1/v2/v2s senders coexist in one cluster.
-//
-//kimbap:wiregroup npmWire
-const (
-	wireV1  byte = 1
-	wireV2  byte = 2
-	wireV2S byte = 3
-)
-
-// Section body forms inside a v2s payload.
+// ascending key order). Keys are base-relative — uvarint deltas from the
+// section's range base — not delta-chained against the previous key:
+// sections concatenate the combine threads' cells in insertion order, so
+// consecutive keys are unsorted and a chain would need per-cell restart
+// markers. Base-relative deltas are order independent, which keeps the
+// encoded size (and hence the comm_bytes the bench gate pins)
+// deterministic across runs. Values are fixed width (Codec.Size).
 //
 //kimbap:wiregroup sectionForm
 const (
@@ -50,204 +36,138 @@ const (
 	sectionDense  byte = 1 // [uvarint maskBytes][mask][values, ascending key]
 )
 
-// sectionKind tells a gather thread how to decode its extracted section.
-type sectionKind byte
-
-//kimbap:wiregroup sectionKind
-const (
-	secV1 sectionKind = iota
-	secV2
-	secV2S
-)
-
-// resolveWire maps a map-level wire option to a concrete format: an unset
-// option defers to the cluster-wide default, and an unset default means v2.
-func resolveWire(opt, clusterDefault comm.WireFormat) comm.WireFormat {
-	if opt == comm.WireAuto {
-		opt = clusterDefault
-	}
-	if opt == comm.WireAuto {
-		opt = comm.WireV2
-	}
-	return opt
+// sectionPresent reports whether section t's bit is set in a present
+// bitmap.
+func sectionPresent(present []byte, t int) bool {
+	return present[t/8]&(1<<(uint(t)%8)) != 0
 }
 
-// reduceSection extracts gather thread t's section from a non-empty tagged
-// reduce payload. v1 frames `[tag][threads uint32 lengths][sections]`, v2
-// `[tag][threads uvarint lengths][sections]`, and v2s
-// `[tag][present bitmap][uvarint lengths, present sections only][sections]`
-// where absent sections decode as empty. The returned kind decides how the
-// section's bytes decode (v2s sections start with their form byte).
-// Payloads come from peer hosts in the same process, so malformed input
-// panics; the fuzz target exercises reduceSectionChecked instead.
-func reduceSection(payload []byte, t, threads int) (sec []byte, kind sectionKind) {
-	switch payload[0] {
-	case wireV1:
-		b := payload[1:]
-		off := 4 * threads
-		for rt := 0; rt < t; rt++ {
-			u, _ := comm.ReadUint32(b[4*rt:])
-			off += int(u)
-		}
-		n, _ := comm.ReadUint32(b[4*t:])
-		return b[off : off+int(n)], secV1
-	case wireV2:
-		b := payload[1:]
-		var before, secLen uint64
-		for rt := 0; rt < threads; rt++ {
-			var ln uint64
-			ln, b = comm.ReadUvarint(b)
-			if rt < t {
-				before += ln
-			} else if rt == t {
-				secLen = ln
-			}
-		}
-		return b[before : before+secLen], secV2
-	case wireV2S:
-		maskLen := (threads + 7) / 8
-		present := payload[1 : 1+maskLen]
-		if present[t/8]&(1<<(uint(t)%8)) == 0 {
-			return nil, secV2S
-		}
-		b := payload[1+maskLen:]
-		var before, secLen uint64
-		for rt := 0; rt < threads; rt++ {
-			if present[rt/8]&(1<<(uint(rt)%8)) == 0 {
-				continue
-			}
-			var ln uint64
-			ln, b = comm.ReadUvarint(b)
-			if rt < t {
-				before += ln
-			} else if rt == t {
-				secLen = ln
-			}
-		}
-		return b[before : before+secLen], secV2S
-	default:
-		panic(fmt.Sprintf("npm: unknown wire format tag %d", payload[0]))
+// reduceSection extracts gather thread t's section from a non-empty reduce
+// payload; an absent section decodes as empty. Payloads come from peer
+// hosts in the same process, so malformed input panics; the fuzz target
+// exercises reduceSectionChecked instead.
+func reduceSection(payload []byte, t, threads int) []byte {
+	maskLen := (threads + 7) / 8
+	present := payload[:maskLen]
+	if !sectionPresent(present, t) {
+		return nil
 	}
+	b := payload[maskLen:]
+	var before, secLen uint64
+	for rt := 0; rt < threads; rt++ {
+		if !sectionPresent(present, rt) {
+			continue
+		}
+		var ln uint64
+		ln, b = comm.ReadUvarint(b)
+		if rt < t {
+			before += ln
+		} else if rt == t {
+			secLen = ln
+		}
+	}
+	return b[before : before+secLen]
 }
 
 // reduceSectionChecked is reduceSection over untrusted bytes: it reports
-// malformed input (unknown tag, truncated header, lengths past the end)
-// instead of panicking. The decoder fuzz target uses it to prove the
-// trusted decoder's bounds arithmetic never reads out of range.
-func reduceSectionChecked(payload []byte, t, threads int) (sec []byte, kind sectionKind, ok bool) {
-	if t < 0 || t >= threads || len(payload) == 0 {
-		return nil, 0, false
+// malformed input (truncated header, section lengths that do not add up to
+// the bytes after the header) instead of panicking. The decoder fuzz
+// target uses it to prove the trusted decoder's bounds arithmetic never
+// reads out of range.
+func reduceSectionChecked(payload []byte, t, threads int) (sec []byte, ok bool) {
+	maskLen := (threads + 7) / 8
+	if t < 0 || t >= threads || len(payload) < maskLen {
+		return nil, false
 	}
-	switch payload[0] {
-	case wireV1:
-		b := payload[1:]
-		if len(b) < 4*threads {
-			return nil, 0, false
+	present := payload[:maskLen]
+	b := payload[maskLen:]
+	var before, secLen, total uint64
+	for rt := 0; rt < threads; rt++ {
+		if !sectionPresent(present, rt) {
+			continue
 		}
-		off := uint64(4 * threads)
-		var secLen uint64
-		total := uint64(len(b))
-		for rt := 0; rt < threads; rt++ {
-			u, _ := comm.ReadUint32(b[4*rt:])
-			if rt < t {
-				off += uint64(u)
-			} else if rt == t {
-				secLen = uint64(u)
+		ln, rest, lok := comm.ReadUvarintChecked(b)
+		if !lok || ln > uint64(len(rest)) {
+			return nil, false
+		}
+		b = rest
+		if rt < t {
+			before += ln
+		} else if rt == t {
+			secLen = ln
+		}
+		total += ln
+	}
+	// Every length is walked, present section or not, so a payload whose
+	// lengths overrun (or underrun) its body is rejected whichever section
+	// is asked for.
+	if total != uint64(len(b)) {
+		return nil, false
+	}
+	return b[before : before+secLen], true
+}
+
+// appendReduceHeader appends the present bitmap and the body lengths of a
+// reduce payload over threads sections; bodyLen(rt) is section rt's
+// encoded length including its form byte, 0 for an absent section.
+func appendReduceHeader(buf []byte, threads int, bodyLen func(rt int) int) []byte {
+	pm := len(buf)
+	for i := 0; i < (threads+7)/8; i++ {
+		buf = append(buf, 0)
+	}
+	for rt := 0; rt < threads; rt++ {
+		if n := bodyLen(rt); n > 0 {
+			buf[pm+rt/8] |= 1 << (uint(rt) % 8)
+			buf = comm.AppendUvarint(buf, uint64(n))
+		}
+	}
+	return buf
+}
+
+// decodeSection decodes one section addressed to a gather thread whose key
+// range starts at base, calling apply once per entry. Both map kinds decode
+// through it.
+func decodeSection[V any](sec []byte, codec Codec[V], base graph.NodeID, apply func(graph.NodeID, V)) {
+	if len(sec) == 0 {
+		return
+	}
+	form := sec[0]
+	sec = sec[1:]
+	switch form {
+	case sectionSparse:
+		var n uint64
+		n, sec = comm.ReadUvarint(sec)
+		for i := uint64(0); i < n; i++ {
+			var d uint64
+			d, sec = comm.ReadUvarint(sec)
+			var v V
+			v, sec = codec.Read(sec)
+			apply(base+graph.NodeID(d), v)
+		}
+	case sectionDense:
+		var mb uint64
+		mb, sec = comm.ReadUvarint(sec)
+		mask := sec[:mb]
+		sec = sec[mb:]
+		for bi, mbyte := range mask {
+			for mbyte != 0 {
+				d := bi*8 + bits.TrailingZeros8(mbyte)
+				mbyte &= mbyte - 1
+				var v V
+				v, sec = codec.Read(sec)
+				apply(base+graph.NodeID(d), v)
 			}
-			if off > total || off+secLen > total {
-				return nil, 0, false
-			}
 		}
-		return b[off : off+secLen], secV1, true
-	case wireV2:
-		b := payload[1:]
-		var before, secLen uint64
-		for rt := 0; rt < threads; rt++ {
-			ln, rest, lok := comm.ReadUvarintChecked(b)
-			if !lok {
-				return nil, 0, false
-			}
-			b = rest
-			if rt < t {
-				before += ln
-			} else if rt == t {
-				secLen = ln
-			}
-		}
-		if before > uint64(len(b)) || before+secLen > uint64(len(b)) {
-			return nil, 0, false
-		}
-		return b[before : before+secLen], secV2, true
-	case wireV2S:
-		maskLen := (threads + 7) / 8
-		if len(payload) < 1+maskLen {
-			return nil, 0, false
-		}
-		present := payload[1 : 1+maskLen]
-		b := payload[1+maskLen:]
-		if present[t/8]&(1<<(uint(t)%8)) == 0 {
-			// Absent section: still walk the lengths so a payload with
-			// lengths past the end is rejected, not silently accepted.
-			t = -1
-		}
-		var before, secLen uint64
-		for rt := 0; rt < threads; rt++ {
-			if present[rt/8]&(1<<(uint(rt)%8)) == 0 {
-				continue
-			}
-			ln, rest, lok := comm.ReadUvarintChecked(b)
-			if !lok {
-				return nil, 0, false
-			}
-			b = rest
-			if rt < t {
-				before += ln
-			} else if rt == t {
-				secLen = ln
-			}
-		}
-		if before > uint64(len(b)) || before+secLen > uint64(len(b)) {
-			return nil, 0, false
-		}
-		return b[before : before+secLen], secV2S, true
-	default:
-		return nil, 0, false
 	}
 }
 
-// validSectionEntries reports whether sec parses as a whole number of
-// (key, value) entries for the given format and value width. For v2s it
-// additionally validates the form byte and, for the dense form, that the
-// value bytes match the mask's population count exactly.
-func validSectionEntries(sec []byte, kind sectionKind, valSize int) bool {
-	if kind == secV2S {
-		return validSectionV2S(sec, valSize)
-	}
-	for len(sec) > 0 {
-		if kind == secV2 {
-			_, rest, ok := comm.ReadUvarintChecked(sec)
-			if !ok {
-				return false
-			}
-			sec = rest
-		} else {
-			if len(sec) < 4 {
-				return false
-			}
-			sec = sec[4:]
-		}
-		if len(sec) < valSize {
-			return false
-		}
-		sec = sec[valSize:]
-	}
-	return true
-}
-
-// validSectionV2S reports whether sec parses as a complete v2s section
-// body: nothing at all (absent section), or a form byte followed by a
-// self-delimiting sparse or dense body with no trailing bytes.
-func validSectionV2S(sec []byte, valSize int) bool {
+// validSection reports whether sec is a section decodeSection may trust for
+// a gather thread owning keyRange keys: nothing at all (absent section), or
+// a form byte followed by a self-delimiting sparse or dense body with no
+// trailing bytes whose every key lies inside the range. A key past the
+// range would make the decoder apply to another gather thread's masters (a
+// data race) or past the end of the master vector.
+func validSection(sec []byte, valSize int, keyRange uint64) bool {
 	if len(sec) == 0 {
 		return true
 	}
@@ -259,8 +179,8 @@ func validSectionV2S(sec []byte, valSize int) bool {
 		}
 		sec = rest
 		for n := uint64(0); n < count; n++ {
-			_, rest, ok := comm.ReadUvarintChecked(sec)
-			if !ok {
+			d, rest, ok := comm.ReadUvarintChecked(sec)
+			if !ok || d >= keyRange {
 				return false
 			}
 			sec = rest
@@ -278,7 +198,13 @@ func validSectionV2S(sec []byte, valSize int) bool {
 		mask := rest[:maskBytes]
 		vals := rest[maskBytes:]
 		pop := 0
-		for _, m := range mask {
+		for bi, m := range mask {
+			if m == 0 {
+				continue
+			}
+			if top := uint64(bi*8 + 7 - bits.LeadingZeros8(m)); top >= keyRange {
+				return false
+			}
 			pop += bits.OnesCount8(m)
 		}
 		return len(vals) == pop*valSize
@@ -287,35 +213,12 @@ func validSectionV2S(sec []byte, valSize int) bool {
 	}
 }
 
-// uvLen returns the encoded length of x as a uvarint, letting encoders size
-// headers without a scratch append.
-func uvLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
 // appendIDList encodes a request-ID list (sorted ascending — the request
-// paths build them from ascending bitset walks or pre-sorted pin sets)
-// behind a format tag. v1 is raw uint32 IDs; v2 is true delta-varint: the
-// first ID, then successive differences, which are small for the clustered
-// request sets graph traversals produce. An empty list encodes as an empty
-// payload.
-func appendIDList(buf []byte, wire comm.WireFormat, ids []graph.NodeID) []byte {
-	if len(ids) == 0 {
-		return buf
-	}
-	if wire == comm.WireV1 {
-		buf = append(buf, wireV1)
-		for _, id := range ids {
-			buf = comm.AppendUint32(buf, uint32(id))
-		}
-		return buf
-	}
-	buf = append(buf, wireV2)
+// paths build them from ascending bitset walks or pre-sorted pin sets) as
+// delta-varints: the first ID, then successive differences, which are
+// small for the clustered request sets graph traversals produce. An empty
+// list encodes as an empty payload.
+func appendIDList(buf []byte, ids []graph.NodeID) []byte {
 	prev := graph.NodeID(0)
 	for _, id := range ids {
 		buf = comm.AppendUvarint(buf, uint64(id-prev))
@@ -324,32 +227,12 @@ func appendIDList(buf []byte, wire comm.WireFormat, ids []graph.NodeID) []byte {
 	return buf
 }
 
-// idListDecoder walks a tagged ID list in order. It is a by-value iterator
-// so the serve loops in the request paths decode with zero allocations.
+// idListDecoder walks an appendIDList payload in order. It is a by-value
+// iterator so the serve loops in the request paths decode with zero
+// allocations.
 type idListDecoder struct {
 	b  []byte
-	v2 bool
-	id uint64 // running delta accumulator (v2)
-}
-
-// decodeIDList starts decoding a payload produced by appendIDList.
-func decodeIDList(payload []byte) idListDecoder {
-	if len(payload) == 0 {
-		return idListDecoder{}
-	}
-	// ID lists are only ever encoded v1 or v2: v2s is a reduce-payload
-	// format (section skipping and body forms have no meaning for a flat
-	// ID list), so appendIDList never emits it here.
-	//
-	//kimbapvet:ignore wiretag -- appendIDList emits only v1/v2; v2s is a reduce-payload format
-	switch payload[0] {
-	case wireV1:
-		return idListDecoder{b: payload[1:]}
-	case wireV2:
-		return idListDecoder{b: payload[1:], v2: true}
-	default:
-		panic(fmt.Sprintf("npm: unknown wire format tag %d", payload[0]))
-	}
+	id uint64 // running delta accumulator
 }
 
 // next returns the next ID, or ok=false at the end of the list.
@@ -357,13 +240,8 @@ func (d *idListDecoder) next() (graph.NodeID, bool) {
 	if len(d.b) == 0 {
 		return 0, false
 	}
-	if d.v2 {
-		var delta uint64
-		delta, d.b = comm.ReadUvarint(d.b)
-		d.id += delta
-		return graph.NodeID(d.id), true
-	}
-	var u uint32
-	u, d.b = comm.ReadUint32(d.b)
-	return graph.NodeID(u), true
+	var delta uint64
+	delta, d.b = comm.ReadUvarint(d.b)
+	d.id += delta
+	return graph.NodeID(d.id), true
 }

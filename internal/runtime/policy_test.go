@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"kimbap/internal/gen"
 	"kimbap/internal/graph"
 )
 
@@ -98,26 +97,10 @@ func newTestAdaptive(h *Host, localShare float64) *Adaptive {
 	return &Adaptive{h: h, localShare: localShare, divisor: div}
 }
 
-// Satellite: the dense/sparse divisor and serial cutoff are configurable
-// via runtime.Config and plumbed to every host.
-func TestFrontierThresholdsFromConfig(t *testing.T) {
-	g := gen.Grid(8, 8, false, 1)
-	c, err := NewCluster(g, Config{
-		NumHosts: 2, ThreadsPerHost: 2,
-		FrontierDenseDivisor: 5, FrontierSerialCutoff: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Run(func(h *Host) {
-		if div, cut := h.FrontierThresholds(); div != 5 || cut != 7 {
-			t.Errorf("host %d thresholds (%d,%d), want (5,7)", h.Rank, div, cut)
-		}
-	})
-
-	// SetFrontierThresholds: positive sets, zero leaves, negative restores
-	// the package default.
+// SetFrontierThresholds, the hook the adaptive policy retunes through:
+// hosts start at the package defaults; positive sets, zero leaves, negative
+// restores the package default.
+func TestSetFrontierThresholds(t *testing.T) {
 	h := &Host{}
 	if div, cut := h.FrontierThresholds(); div != frontierDenseDivisor || cut != frontierSerialCutoff {
 		t.Fatalf("bare host thresholds (%d,%d), want defaults", div, cut)

@@ -36,20 +36,6 @@ type Config struct {
 	// UseTCP selects the real-socket transport instead of the in-memory
 	// channel transport.
 	UseTCP bool
-	// Wire is the cluster-wide default for the property-map payload
-	// encoding; maps can override it per instance. The zero value
-	// (comm.WireAuto) means the npm package default (v2).
-	Wire comm.WireFormat
-	// FrontierDenseDivisor sets ParForActive's dense/sparse switch: the
-	// frontier iterates densely (parallel masked word scan) when
-	// |active| >= |V|/divisor, sparsely (compacted index list) below.
-	// Defaults to frontierDenseDivisor (16). The adaptive policy engine
-	// retunes it per host at runtime via SetFrontierThresholds.
-	FrontierDenseDivisor int
-	// FrontierSerialCutoff is the frontier size at or below which
-	// ParForActive runs inline on the calling goroutine instead of waking
-	// the worker pool. Defaults to frontierSerialCutoff (256).
-	FrontierSerialCutoff int
 	// Reorder selects a locality-aware vertex reordering applied at
 	// cluster construction (DESIGN.md §14): the graph is permuted before
 	// partitioning and the partition carries the permutation, so
@@ -68,12 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Policy == "" {
 		c.Policy = partition.OEC
-	}
-	if c.FrontierDenseDivisor == 0 {
-		c.FrontierDenseDivisor = frontierDenseDivisor
-	}
-	if c.FrontierSerialCutoff == 0 {
-		c.FrontierSerialCutoff = frontierSerialCutoff
 	}
 	return c
 }
@@ -94,15 +74,15 @@ type Host struct {
 	HP      *partition.HostPartition
 	EP      comm.Endpoint
 	Threads int
-	Wire    comm.WireFormat
 	Timers  Timers
 
 	pool   *workerPool
 	mapSeq atomic.Int64
 
-	// Frontier representation thresholds (see Config); atomic because the
-	// adaptive policy rewrites them between rounds while telemetry readers
-	// may inspect them. Zero means "use the package default".
+	// Frontier representation thresholds (see SetFrontierThresholds);
+	// atomic because the adaptive policy rewrites them between rounds while
+	// telemetry readers may inspect them. Zero means "use the package
+	// default".
 	denseDivisor atomic.Int64
 	serialCutoff atomic.Int64
 	// async is the host's persistent drain scheduler, created on first
@@ -157,10 +137,8 @@ func NewCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 			HP:      part.Hosts[i],
 			EP:      eps[i],
 			Threads: cfg.ThreadsPerHost,
-			Wire:    cfg.Wire,
 			pool:    newWorkerPool(cfg.ThreadsPerHost),
 		}
-		h.SetFrontierThresholds(cfg.FrontierDenseDivisor, cfg.FrontierSerialCutoff)
 		c.hosts = append(c.hosts, h)
 	}
 	return c, nil
@@ -389,10 +367,11 @@ const frontierDenseDivisor = 16
 const frontierSerialCutoff = 256
 
 // SetFrontierThresholds overrides the host's frontier representation
-// thresholds (Config.FrontierDenseDivisor / FrontierSerialCutoff). Zero
-// leaves the corresponding threshold unchanged; negative restores the
-// package default. Safe to call between rounds; the adaptive policy engine
-// uses it to retune the dense/sparse switch from observed telemetry.
+// thresholds (the dense divisor and serial cutoff; hosts start at the
+// package defaults). Zero leaves the corresponding threshold unchanged;
+// negative restores the package default. Safe to call between rounds; the
+// adaptive policy engine uses it to retune the dense/sparse switch from
+// observed telemetry.
 func (h *Host) SetFrontierThresholds(denseDivisor, serialCutoff int) {
 	switch {
 	case denseDivisor > 0:
@@ -409,8 +388,7 @@ func (h *Host) SetFrontierThresholds(denseDivisor, serialCutoff int) {
 }
 
 // FrontierThresholds returns the host's effective dense divisor and serial
-// cutoff (package defaults when never configured — hosts built as bare
-// literals in tests keep working).
+// cutoff (the package defaults until SetFrontierThresholds overrides them).
 func (h *Host) FrontierThresholds() (denseDivisor, serialCutoff int) {
 	denseDivisor = int(h.denseDivisor.Load())
 	if denseDivisor == 0 {
