@@ -60,6 +60,9 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions,
 	cmap.PinMirrors()
 
 	// Map 2: community totals, keyed by community representative.
+	if cfg.requestActive() {
+		requestLocalProxies(h, cmap)
+	}
 	ctot := cfg.newFloatMap(h, npm.SumFloat64())
 	h.ParForMasters(func(_ int, n graph.NodeID) { ctot.Set(h.HP.GlobalID(n), 0) })
 	ctot.InitSync()
@@ -78,6 +81,14 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions,
 	initOwn(h, sub)
 	sub.PinMirrors()
 
+	// Map 4: subcommunity totals. Map 5: subcommunity sizes. Both are
+	// keyed by subcommunity representative and reset every round with
+	// Set+InitSync.
+	subtot := cfg.newFloatMap(h, npm.SumFloat64())
+	subsize := cfg.newFloatMap(h, npm.SumFloat64())
+	// One k_{n->t} accumulator per worker thread (accum.go).
+	accs := make([]commAcc, h.Threads)
+
 	const refineRounds = 4
 	for round := 0; round < refineRounds; round++ {
 		if cfg.requestActive() {
@@ -85,10 +96,6 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions,
 			requestLocalProxies(h, sub)
 		}
 
-		// Map 4: subcommunity totals. Map 5: subcommunity sizes. Both are
-		// rebuilt each round, keyed by subcommunity representative.
-		subtot := cfg.newFloatMap(h, npm.SumFloat64())
-		subsize := cfg.newFloatMap(h, npm.SumFloat64())
 		h.ParForMasters(func(_ int, n graph.NodeID) {
 			gid := h.HP.GlobalID(n)
 			subtot.Set(gid, 0)
@@ -149,25 +156,26 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions,
 				// linked to the rest of its community (Traag et al.'s
 				// gamma-scaled well-connectedness condition).
 				intoC := 0.0
-				links := map[graph.NodeID]float64{}
+				links := &accs[tid]
 				elo, ehi := local.EdgeRange(n)
+				links.reset(int(ehi - elo))
 				for e := elo; e < ehi; e++ {
 					dgid := h.HP.GlobalID(local.Dst(e))
 					if dgid == gid || cmap.Read(dgid) != c {
 						continue
 					}
 					intoC += local.Weight(e)
-					links[sub.Read(dgid)] += local.Weight(e)
+					links.add(sub.Read(dgid), local.Weight(e))
 				}
 				if intoC < opts.Gamma*kn*(ctot.Read(c)-kn)/twoM {
 					return // badly connected: stays singleton
 				}
 				best, bestGain := s, 0.0
-				for t, knt := range links {
+				for i, t := range links.keys {
 					if t == s {
 						continue
 					}
-					gain := knt - subtot.Read(t)*kn/twoM
+					gain := links.sums[i] - subtot.Read(t)*kn/twoM
 					if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && gain > 0 && t < best) {
 						best, bestGain = t, gain
 					}

@@ -242,6 +242,13 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions,
 		stable = make([]uint8, h.HP.NumMasters)
 	}
 
+	// Community totals and sizes, keyed by representative node. The maps
+	// live for the whole level; every round resets them with Set+InitSync.
+	ctot := cfg.newFloatMap(h, npm.SumFloat64())
+	csize := cfg.newFloatMap(h, npm.SumFloat64())
+	// One k_{n->c} accumulator per worker thread (accum.go).
+	accs := make([]commAcc, h.Threads)
+
 	prevQ := -1.0
 	for rounds = 0; rounds < opts.MaxIters; rounds++ {
 		if cfg.requestActive() {
@@ -249,10 +256,6 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions,
 			requestLocalProxies(h, wdeg)
 		}
 
-		// Community totals and sizes for this round, keyed by
-		// representative node.
-		ctot := cfg.newFloatMap(h, npm.SumFloat64())
-		csize := cfg.newFloatMap(h, npm.SumFloat64())
 		h.ParForMasters(func(_ int, n graph.NodeID) {
 			gid := h.HP.GlobalID(n)
 			ctot.Set(gid, 0)
@@ -344,22 +347,23 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions,
 					return
 				}
 				// Accumulate k_{n->c} per neighbor community.
-				links := map[graph.NodeID]float64{}
+				links := &accs[tid]
 				lo, hi := local.EdgeRange(n)
+				links.reset(int(hi - lo))
 				for e := lo; e < hi; e++ {
 					dgid := h.HP.GlobalID(local.Dst(e))
 					if dgid == gid {
 						continue
 					}
-					links[cm.Read(dgid)] += local.Weight(e)
+					links.add(cm.Read(dgid), local.Weight(e))
 				}
-				base := links[a] - (ctot.Read(a)-kn)*kn/twoM
+				base := links.get(a) - (ctot.Read(a)-kn)*kn/twoM
 				best, bestGain := a, base
-				for c, knc := range links {
+				for i, c := range links.keys {
 					if c == a {
 						continue
 					}
-					gain := knc - ctot.Read(c)*kn/twoM
+					gain := links.sums[i] - ctot.Read(c)*kn/twoM
 					if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && c < best) {
 						best, bestGain = c, gain
 					}
@@ -383,8 +387,6 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions,
 		})
 		cm.ReduceSync()
 		cm.BroadcastSync()
-		cfg.recordStats(ctot)
-		cfg.recordStats(csize)
 		moved.Sync(h.EP)
 		totalMoved += moved.Read() // global count, identical on all hosts
 		if moved.Read() == 0 {
@@ -398,34 +400,83 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions,
 	CollectNodeValues(h, cm, assign)
 	cfg.recordStats(cm)
 	cfg.recordStats(wdeg)
+	cfg.recordStats(ctot)
+	cfg.recordStats(csize)
 	return rounds, totalMoved
 }
 
 // contract builds the coarse graph: one supernode per community, edge
 // weights aggregated, intra-community weight kept as supernode self-loops
 // so modularity is preserved across levels. remap translates community
-// labels to coarse node IDs.
-func contract(g *graph.Graph, assign []graph.NodeID) (*graph.Graph, map[graph.NodeID]graph.NodeID) {
-	remap := make(map[graph.NodeID]graph.NodeID)
+// labels to coarse node IDs: it is indexed by label, holds
+// graph.InvalidNode for labels no node carries, and numbers supernodes in
+// order of first appearance in assign.
+//
+// Nodes are grouped by supernode with a counting sort (which keeps node
+// order within a group), and each supernode's outgoing weights are summed
+// in one commAcc, node by node and edge by edge — the order a map keyed by
+// (supernode, supernode) would see, so coarse weights are bit-identical to
+// it.
+//
+//kimbap:deterministic
+func contract(g *graph.Graph, assign []graph.NodeID) (*graph.Graph, []graph.NodeID) {
+	remap := make([]graph.NodeID, g.NumNodes())
+	for i := range remap {
+		remap[i] = graph.InvalidNode
+	}
+	numC := 0
 	for _, c := range assign {
-		if _, ok := remap[c]; !ok {
-			remap[c] = graph.NodeID(len(remap))
+		if remap[c] == graph.InvalidNode {
+			remap[c] = graph.NodeID(numC)
+			numC++
 		}
 	}
-	agg := make(map[[2]graph.NodeID]float64)
-	for n := 0; n < g.NumNodes(); n++ {
-		cs := remap[assign[n]]
-		lo, hi := g.EdgeRange(graph.NodeID(n))
-		for e := lo; e < hi; e++ {
-			cd := remap[assign[g.Dst(e)]]
-			agg[[2]graph.NodeID{cs, cd}] += g.Weight(e)
+	// start[s]..start[s+1] indexes supernode s's members.
+	start := make([]int, numC+1)
+	for _, c := range assign {
+		start[remap[c]+1]++
+	}
+	for s := 0; s < numC; s++ {
+		start[s+1] += start[s]
+	}
+	members := make([]graph.NodeID, len(assign))
+	next := append([]int(nil), start[:numC]...)
+	for n, c := range assign {
+		s := remap[c]
+		members[next[s]] = graph.NodeID(n)
+		next[s]++
+	}
+
+	// A coarse edge stands for at least one fine edge.
+	maxEdges := min(g.NumEdges(), int64(numC)*int64(numC))
+	var srcs, dsts []graph.NodeID
+	var weights []float64
+	if maxEdges > 0 {
+		srcs = make([]graph.NodeID, 0, maxEdges)
+		dsts = make([]graph.NodeID, 0, maxEdges)
+		weights = make([]float64, 0, maxEdges)
+	}
+	var acc commAcc
+	for s := 0; s < numC; s++ {
+		group := members[start[s]:start[s+1]]
+		deg := 0
+		for _, n := range group {
+			deg += g.Degree(n)
+		}
+		acc.reset(min(deg, numC))
+		for _, n := range group {
+			lo, hi := g.EdgeRange(n)
+			for e := lo; e < hi; e++ {
+				acc.add(remap[assign[g.Dst(e)]], g.Weight(e))
+			}
+		}
+		for i, d := range acc.keys {
+			srcs = append(srcs, graph.NodeID(s))
+			dsts = append(dsts, d)
+			weights = append(weights, acc.sums[i])
 		}
 	}
-	b := graph.NewBuilder(len(remap))
-	for k, w := range agg {
-		b.AddWeightedEdge(k[0], k[1], w)
-	}
-	return b.Build(), remap
+	return graph.NewBuilderFromArrays(numC, srcs, dsts, weights).Build(), remap
 }
 
 // Preset-driven helper so benchmarks and examples can run LV on the

@@ -132,6 +132,8 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	if de != nil {
 		undecided = de.totalMasters
 	}
+	// Per-round map, allocated once and reset every round.
+	minNbr := cfg.newFloatMap(h, npm.MinFloat64())
 	for {
 		stats.Rounds++
 		mode := runtime.ModeBSP
@@ -141,12 +143,11 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 		}
 		dir := de.directionFromGlobalActive(undecided)
 
-		// Per-round map: minimum priority among each node's undecided
+		// Reset minNbr: minimum priority among each node's undecided
 		// neighbors, accumulated from every edge location — except in a
 		// pull round, where each undecided master computes the complete
 		// minimum from its in-edges (all present under a pull-complete
 		// partition) and the collective is skipped entirely.
-		minNbr := cfg.newFloatMap(h, npm.MinFloat64())
 		h.ParForMasters(func(_ int, n graph.NodeID) {
 			minNbr.Set(h.HP.GlobalID(n), math.Inf(1))
 		})

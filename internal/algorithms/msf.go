@@ -118,16 +118,17 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 		frProp.Advance()
 	}
 
+	// Each component root's cheapest outgoing edge, reset every round.
+	cand := npm.New(npm.Options[MinEdge]{
+		Host: h, Op: MinEdgeOp(), Codec: MinEdgeCodec{},
+		Variant: cfg.Variant, Store: cfg.Store,
+	})
 	for {
 		stats.Rounds++
 		// 1. Collapse parent chains so parents are component roots.
 		ccShortcut(h, cfg, parent, frP, nil, nil, nil)
 
-		// 2. Fresh candidate map, masters initialized to the identity.
-		cand := npm.New(npm.Options[MinEdge]{
-			Host: h, Op: MinEdgeOp(), Codec: MinEdgeCodec{},
-			Variant: cfg.Variant, Store: cfg.Store,
-		})
+		// 2. Candidate map reset: masters hold no candidate edge.
 		h.ParForMasters(func(_ int, local graph.NodeID) {
 			cand.Set(h.HP.GlobalID(local), infEdge())
 		})
@@ -249,7 +250,6 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 		})
 		parent.ReduceSync()
 		parent.UnpinMirrors()
-		cfg.recordStats(cand)
 
 		workDone.Sync(h.EP)
 		if !workDone.Read() || stats.Rounds >= cfg.maxRounds() {
@@ -264,6 +264,7 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 	stats.TotalWeight = weight.Read()
 	stats.ForestEdges = edges.Read()
 	CollectNodeValues(h, parent, comp)
+	cfg.recordStats(cand)
 	cfg.recordStats(parent)
 	return stats
 }

@@ -252,8 +252,13 @@ func (m *fullMap[V]) Set(n graph.NodeID, v V) {
 
 // InitSync implements Map. GAR sets master values in place, so there is
 // nothing to publish — but masters may now differ from any pinned mirrors,
-// so a pull round needs a broadcast first.
-func (m *fullMap[V]) InitSync() { m.mirrorsFresh = false }
+// so a pull round needs a broadcast first. Remote values requested before
+// the Sets are stale, so the request cache is dropped as in ReduceSync:
+// a map reset with Set+InitSync never serves a previous round's values.
+func (m *fullMap[V]) InitSync() {
+	m.mirrorsFresh = false
+	m.dropCache()
+}
 
 // Request implements Map.
 func (m *fullMap[V]) Request(n graph.NodeID) {
@@ -498,21 +503,26 @@ func (m *fullMap[V]) ReduceSync() {
 			}
 		})
 
-		// Cached remote properties are now stale (§4.1): drop them. The
-		// slot table is cleared key by key — O(cache entries), and the
-		// allocation survives for the next round's rebuild.
-		if m.cacheSlot != nil {
-			for _, k := range m.cacheKeys {
-				m.cacheSlot[k] = 0
-			}
-		}
-		m.cacheKeys = nil
-		m.cacheVals = nil
+		// Cached remote properties are now stale (§4.1): drop them.
+		m.dropCache()
 
 		// Masters just moved; pinned mirrors no longer reflect them until
 		// the next broadcast, so pull rounds are off the table (pull.go).
 		m.mirrorsFresh = false
 	})
+}
+
+// dropCache empties the remote request cache. The slot table is cleared
+// key by key — O(cache entries), and the allocation survives for the next
+// round's rebuild.
+func (m *fullMap[V]) dropCache() {
+	if m.cacheSlot != nil {
+		for _, k := range m.cacheKeys {
+			m.cacheSlot[k] = 0
+		}
+	}
+	m.cacheKeys = nil
+	m.cacheVals = nil
 }
 
 // reducePayload assembles the reduce payload for destination o from the

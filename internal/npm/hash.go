@@ -202,6 +202,9 @@ func (m *hashMap[V]) Set(n graph.NodeID, v V) {
 }
 
 // InitSync implements Map: flush buffered Sets to their hash owners.
+// Cached values predate the Sets, so the cache is dropped as in ReduceSync
+// and pinned mirrors are re-fetched: a map reset with Set+InitSync never
+// serves a previous round's values.
 func (m *hashMap[V]) InitSync() {
 	m.h.TimeComm(func() {
 		numHosts := m.hp.NumHosts()
@@ -229,7 +232,11 @@ func (m *hashMap[V]) InitSync() {
 				m.owned.Set(graph.NodeID(id), v)
 			}
 		}
+		m.cache.Reset()
 	})
+	if m.pinned {
+		m.h.TimeBroadcast(func() { m.fetch(m.pinnedIDs) })
+	}
 }
 
 // Request implements Map: needed for anything not hash-owned locally,

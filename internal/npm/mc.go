@@ -121,9 +121,20 @@ func (m *mcMap[V]) Set(n graph.NodeID, v V) {
 }
 
 // InitSync implements Map: Sets are write-through, so only a barrier is
-// needed to make them globally visible before the first round.
+// needed to make them globally visible before the first round. Cached
+// values predate the Sets, so the cache is dropped and pinned mirrors are
+// re-fetched, as for the hash variants.
 func (m *mcMap[V]) InitSync() {
-	m.h.TimeComm(func() { comm.Barrier(m.h.EP) })
+	m.h.TimeComm(func() {
+		comm.Barrier(m.h.EP)
+		m.cache.Reset()
+	})
+	if m.pinned {
+		m.h.TimeBroadcast(func() {
+			m.mget(m.pinnedIDs)
+			comm.Barrier(m.h.EP)
+		})
+	}
 }
 
 // Request implements Map.

@@ -87,7 +87,9 @@ type Map[V comparable] interface {
 	// graph-partition-aware layout) and treats this as a no-op; the
 	// hash-distributed variants buffer Sets for nodes whose hash owner is
 	// elsewhere and flush them here. Collective. Call once after the
-	// initialization loop, before the first read or reduce.
+	// initialization loop, before the first read or reduce. A map is reset
+	// for reuse by another Set loop and InitSync: InitSync drops remote
+	// values cached by earlier RequestSyncs on every variant.
 	InitSync()
 
 	// Request marks node n's property for retrieval in the next
